@@ -9,10 +9,11 @@ test:
 	go test ./...
 
 # check is the pre-merge gate: static analysis, the race detector over the
-# packages that run goroutines (the destination-sharded engine, the parallel
-# ingress scans, the single-flight placement cache, the multi-tenant job
-# service's worker pool, including the fault-recovery paths exercised by the
-# chaos suite) or are otherwise concurrency-sensitive (the metrics registry),
+# packages that run goroutines (the parallel placement block compile, the
+# parallel ingress scans, the single-flight placement cache, the multi-tenant
+# job service's worker pool, including the fault-recovery paths exercised by
+# the chaos suite) or are otherwise concurrency-sensitive (the metrics
+# registry), the block compile again at -cpu 1,2,4 at every worker count,
 # the ingress differential test pinning the parallel partitioners to their
 # sequential specs, the batched-BFS differential suite pinning the 64-lane
 # packed traversal to 64 scalar runs at -cpu 1,2,4, the evolving-graph
@@ -25,7 +26,7 @@ test:
 check:
 	go vet ./...
 	go test -race ./internal/engine ./internal/partition ./internal/apps ./internal/fault ./internal/trace ./internal/workload ./internal/service ./internal/graph
-	go test -race -cpu 1,2,4 -run TestParallelEngineWorkerCountInvariance ./internal/apps
+	go test -race -cpu 1,2,4 -run TestCompileBlocksParallelMatchesSequential ./internal/engine
 	go test -race -cpu 1,2,4 -run TestClusterBFS ./internal/apps
 	go test -run 'TestIngressDifferential|TestCompileBlocksParallelMatchesSequential' ./internal/partition ./internal/engine
 	go test -run 'TestIngressAllocs|TestHybridShardedBytesRegression' ./internal/partition

@@ -17,9 +17,9 @@ import (
 	"strings"
 	"time"
 
+	"proxygraph/internal/cliutil"
 	"proxygraph/internal/exp"
 	"proxygraph/internal/metrics"
-	"proxygraph/internal/partition"
 	"proxygraph/internal/report"
 	"proxygraph/internal/trace"
 )
@@ -98,7 +98,9 @@ func main() {
 		ingressShards = flag.Int("ingress-shards", 0, "worker count for parallel ingress scans (0 = GOMAXPROCS)")
 	)
 	flag.Parse()
-	partition.ParallelShards = *ingressShards
+	if err := cliutil.SetIngressShards(*ingressShards); err != nil {
+		fatal(err)
+	}
 
 	exps := experiments()
 	if *list {

@@ -3,6 +3,9 @@ package main
 import (
 	"strings"
 	"testing"
+
+	"proxygraph/internal/cliutil"
+	"proxygraph/internal/partition"
 )
 
 func TestSelectExperimentsAll(t *testing.T) {
@@ -38,6 +41,25 @@ func TestSelectExperimentsUnknown(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), `"nonsense"`) || !strings.Contains(err.Error(), "known:") {
 		t.Fatalf("error should name the bad experiment and list known ones: %v", err)
+	}
+}
+
+// TestIngressShardsRejectsNegative pins the -ingress-shards check: a negative
+// count is a usage error, not an alias for GOMAXPROCS, and leaves the ingress
+// worker count untouched.
+func TestIngressShardsRejectsNegative(t *testing.T) {
+	prev := partition.ParallelShards
+	for _, n := range []int{-1, -3} {
+		err := cliutil.SetIngressShards(n)
+		if err == nil {
+			t.Fatalf("-ingress-shards %d: expected an error", n)
+		}
+		if !strings.Contains(err.Error(), "-ingress-shards") || !strings.Contains(err.Error(), "non-negative") {
+			t.Fatalf("-ingress-shards %d: error %q does not name the flag and its rule", n, err)
+		}
+		if partition.ParallelShards != prev {
+			t.Fatalf("-ingress-shards %d: worker count changed to %d", n, partition.ParallelShards)
+		}
 	}
 }
 

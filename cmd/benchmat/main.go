@@ -33,7 +33,7 @@ type suite struct {
 }
 
 var suites = []suite{
-	{"engine", "./internal/engine", "BenchmarkEngineGather|BenchmarkEngineParallel|BenchmarkEngineClusterBFS", "BENCH_ENGINE.json"},
+	{"engine", "./internal/engine", "BenchmarkEngineGather|BenchmarkEngineClusterBFS", "BENCH_ENGINE.json"},
 	{"ingress", "./internal/partition", "BenchmarkIngress", "BENCH_INGRESS.json"},
 }
 

@@ -62,7 +62,9 @@ func main() {
 		evolveDeletes = flag.Int("evolve-deletes", 0, "after the run, evolve the graph by this many random edge deletions and re-run incrementally")
 	)
 	flag.Parse()
-	partition.ParallelShards = *ingressShards
+	if err := cliutil.SetIngressShards(*ingressShards); err != nil {
+		fatal(err)
+	}
 
 	app, err := apps.ByName(*appName)
 	if err != nil {

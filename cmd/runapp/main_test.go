@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"proxygraph/internal/apps"
+	"proxygraph/internal/cliutil"
 	"proxygraph/internal/cluster"
 	"proxygraph/internal/core"
 	"proxygraph/internal/engine"
@@ -53,6 +54,25 @@ func TestFaultOptionsValidation(t *testing.T) {
 				t.Fatalf("error %q does not mention %q", err, tc.wantErr)
 			}
 		})
+	}
+}
+
+// TestIngressShardsRejectsNegative pins the -ingress-shards check: a negative
+// count is a usage error, not an alias for GOMAXPROCS, and leaves the ingress
+// worker count untouched.
+func TestIngressShardsRejectsNegative(t *testing.T) {
+	prev := partition.ParallelShards
+	for _, n := range []int{-1, -3} {
+		err := cliutil.SetIngressShards(n)
+		if err == nil {
+			t.Fatalf("-ingress-shards %d: expected an error", n)
+		}
+		if !strings.Contains(err.Error(), "-ingress-shards") || !strings.Contains(err.Error(), "non-negative") {
+			t.Fatalf("-ingress-shards %d: error %q does not name the flag and its rule", n, err)
+		}
+		if partition.ParallelShards != prev {
+			t.Fatalf("-ingress-shards %d: worker count changed to %d", n, partition.ParallelShards)
+		}
 	}
 }
 

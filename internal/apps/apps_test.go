@@ -560,42 +560,3 @@ func TestAppScalingIsApplicationSpecific(t *testing.T) {
 }
 
 var _ = rng.Hash64 // keep the import for future table-driven seeds
-
-func TestParallelVariantsMatch(t *testing.T) {
-	g := testGraph(t, 55, 800, 8000)
-	cl := multiCluster(t, 4)
-	pl := moduloPlacement(t, g, 4)
-
-	prSeq, err := NewPageRank().Run(pl, cl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prPar, err := NewPageRank().RunParallel(pl, cl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if prSeq.SimSeconds != prPar.SimSeconds {
-		t.Errorf("pagerank accounting differs: %v vs %v", prSeq.SimSeconds, prPar.SimSeconds)
-	}
-	rs, rp := prSeq.Output.([]float64), prPar.Output.([]float64)
-	for v := range rs {
-		if math.Abs(rs[v]-rp[v]) > 1e-9 {
-			t.Fatalf("vertex %d rank %v vs %v", v, rs[v], rp[v])
-		}
-	}
-
-	ccSeq, err := NewConnectedComponents().Run(pl, cl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ccPar, err := NewConnectedComponents().RunParallel(pl, cl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ccSeq.Output.(Components).Count != ccPar.Output.(Components).Count {
-		t.Error("component counts differ between engines")
-	}
-	if ccSeq.SimSeconds != ccPar.SimSeconds {
-		t.Errorf("cc accounting differs: %v vs %v", ccSeq.SimSeconds, ccPar.SimSeconds)
-	}
-}

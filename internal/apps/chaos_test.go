@@ -8,13 +8,13 @@ import (
 	"proxygraph/internal/fault"
 )
 
-// This file is the chaos/equivalence suite of the fault-tolerance ISSUE: for
-// deterministic fault schedules, every engine must (a) recover to the same
+// This file is the chaos/equivalence suite of fault tolerance: for
+// deterministic fault schedules, both engines must (a) recover to the same
 // final vertex values the fault-free run produces — exactly for min/max/
 // integer programs, within 1e-12 for float sums, which may re-associate when
 // replayed supersteps run on the repartitioned survivor placement — and (b)
-// charge identical simulated time/energy to the last bit across all three
-// engines, with checkpoint and recovery overhead visibly priced in.
+// charge identical simulated time/energy to the last bit, reference vs
+// RunSync, with checkpoint and recovery overhead visibly priced in.
 
 // *fault.Schedule must satisfy the engine's injector interface.
 var _ engine.FaultInjector = (*fault.Schedule)(nil)
@@ -42,7 +42,7 @@ func hasPhase(res *engine.Result, kind string) bool {
 }
 
 // checkChaos runs prog fault-free on the reference engine, then under cfg on
-// all three engines, asserting value equivalence against the fault-free run
+// both engines, asserting value equivalence against the fault-free run
 // and bitwise accounting equivalence across the faulted runs.
 func checkChaos[V, A any](t *testing.T, name string, prog engine.Program[V, A], pl *engine.Placement, cl *cluster.Cluster, cfg *engine.FaultConfig, eq func(a, b V) bool) *engine.Result {
 	t.Helper()
@@ -61,18 +61,11 @@ func checkChaos[V, A any](t *testing.T, name string, prog engine.Program[V, A], 
 	if err != nil {
 		t.Fatalf("%s csr: %v", name, err)
 	}
-	parRes, parVals, err := engine.RunSyncParallelOpts[V, A](prog, pl, cl, opts)
-	if err != nil {
-		t.Fatalf("%s parallel: %v", name, err)
-	}
 
 	sameAccounting(t, name+"/csr", refRes, csrRes)
-	sameAccounting(t, name+"/parallel", refRes, parRes)
-	if refRes.Checkpoints != csrRes.Checkpoints || refRes.Recoveries != csrRes.Recoveries ||
-		refRes.Checkpoints != parRes.Checkpoints || refRes.Recoveries != parRes.Recoveries {
-		t.Errorf("%s: protocol counters disagree: ref %d/%d csr %d/%d par %d/%d", name,
-			refRes.Checkpoints, refRes.Recoveries, csrRes.Checkpoints, csrRes.Recoveries,
-			parRes.Checkpoints, parRes.Recoveries)
+	if refRes.Checkpoints != csrRes.Checkpoints || refRes.Recoveries != csrRes.Recoveries {
+		t.Errorf("%s: protocol counters disagree: ref %d/%d csr %d/%d", name,
+			refRes.Checkpoints, refRes.Recoveries, csrRes.Checkpoints, csrRes.Recoveries)
 	}
 
 	for v := range baseVals {
@@ -82,18 +75,11 @@ func checkChaos[V, A any](t *testing.T, name string, prog engine.Program[V, A], 
 		if !eq(baseVals[v], csrVals[v]) {
 			t.Fatalf("%s/csr: vertex %d recovered to %v, fault-free %v", name, v, csrVals[v], baseVals[v])
 		}
-		if !eq(baseVals[v], parVals[v]) {
-			t.Fatalf("%s/parallel: vertex %d recovered to %v, fault-free %v", name, v, parVals[v], baseVals[v])
-		}
 	}
 	return refRes
 }
 
 func TestChaosRecoverySixApps(t *testing.T) {
-	old := engine.ParallelShards
-	engine.ParallelShards = 4
-	t.Cleanup(func() { engine.ParallelShards = old })
-
 	g := equivGraph(t)
 	cl := heteroCluster(t)
 	pl := moduloPlacement(t, g, 4)
@@ -172,10 +158,6 @@ func TestChaosRecoverySixApps(t *testing.T) {
 // TestChaosSeededSchedules drives the generator end to end: seeded random
 // schedules, every engine, value equivalence after recovery.
 func TestChaosSeededSchedules(t *testing.T) {
-	old := engine.ParallelShards
-	engine.ParallelShards = 4
-	t.Cleanup(func() { engine.ParallelShards = old })
-
 	g := equivGraph(t)
 	cl := heteroCluster(t)
 	pl := moduloPlacement(t, g, 4)

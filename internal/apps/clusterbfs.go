@@ -34,7 +34,7 @@ type ClusterState struct {
 // whose per-superstep direction choice reacts to the union frontier (any
 // lane active keeps the vertex hot). Distances per lane are bit-identical
 // to running BFS once per source; the differential suite pins exactly that
-// across all three engines.
+// on both engines.
 type ClusterBFS struct {
 	// Sources are the batched roots, one bit lane each (at most
 	// MaxBatchSources, all distinct and in range — RunOpts rejects anything
@@ -109,7 +109,7 @@ func (c *ClusterBFS) Init(v graph.VertexID, outDeg, inDeg int32) ClusterState {
 func (c *ClusterBFS) Gather(src ClusterState) uint64 { return src.Seen }
 
 // Sum implements engine.Program: bitwise OR — exactly associative and
-// commutative, so all three engines agree to the last bit even when sparse
+// commutative, so both engines agree to the last bit even when sparse
 // supersteps re-associate the accumulation order.
 func (c *ClusterBFS) Sum(a, b uint64) uint64 { return a | b }
 

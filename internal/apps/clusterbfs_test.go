@@ -8,16 +8,15 @@ import (
 	"proxygraph/internal/graph"
 )
 
-// This file is the ClusterBFS differential battery of ISSUE 9: the 64-packed
-// traversal must be bit-identical, lane for lane, to 64 independent
-// single-source BFS runs — on seeded random, grid and star topologies, across
-// all three engines, clean and under chaos. Accounting is held to the same
-// standard as every other app: bitwise identical across the three engines
-// (one packed pass cannot charge like 64 scalar passes — that gap is the
-// batch amortization the ClusterBFSStudy experiment measures — so the
-// accounting invariant is cross-engine, cross-worker-count and
-// chaos-vs-clean, not packed-vs-scalar). make check and CI run the
-// TestClusterBFS* battery under -race -cpu 1,2,4.
+// This file is the ClusterBFS differential battery: the 64-packed traversal
+// must be bit-identical, lane for lane, to 64 independent single-source BFS
+// runs — on seeded random, grid and star topologies, on both engines, clean
+// and under chaos. Accounting is held to the same standard as every other
+// app: bitwise identical between the reference engine and RunSync (one
+// packed pass cannot charge like 64 scalar passes — that gap is the batch
+// amortization the ClusterBFSStudy experiment measures — so the accounting
+// invariant is cross-engine and chaos-vs-clean, not packed-vs-scalar). make
+// check and CI run the TestClusterBFS* battery under -race -cpu 1,2,4.
 
 // spreadSources returns k distinct roots spread evenly across [0, n).
 func spreadSources(n, k int) []graph.VertexID {
@@ -119,13 +118,10 @@ func checkLanesMatchScalarBFS(t *testing.T, name string, g *graph.Graph, pl *eng
 }
 
 // TestClusterBFSDifferential is the headline battery: on each topology the
-// packed run must agree bitwise across reference/CSR/parallel engines
+// packed run must agree bitwise across the reference and CSR engines
 // (values and accounting), and every one of its 64 lanes must reproduce an
 // independent single-source BFS exactly.
 func TestClusterBFSDifferential(t *testing.T) {
-	old := engine.ParallelShards
-	engine.ParallelShards = 4
-	t.Cleanup(func() { engine.ParallelShards = old })
 	cl := heteroCluster(t)
 
 	cases := []struct {
@@ -157,12 +153,8 @@ func TestClusterBFSDifferential(t *testing.T) {
 // TestClusterBFSChaosDifferential puts the packed traversal under the chaos
 // schedule: the recovered run must land on bitwise-identical states (and so,
 // transitively through TestClusterBFSDifferential, on the 64 scalar BFS
-// answers) with bitwise-equal accounting across all three engines.
+// answers) with bitwise-equal accounting across both engines.
 func TestClusterBFSChaosDifferential(t *testing.T) {
-	old := engine.ParallelShards
-	engine.ParallelShards = 4
-	t.Cleanup(func() { engine.ParallelShards = old })
-
 	g := equivGraph(t)
 	cl := heteroCluster(t)
 	pl := moduloPlacement(t, g, 4)

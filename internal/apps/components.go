@@ -114,21 +114,3 @@ func SummarizeComponents(labels []uint32) Components {
 	}
 	return Components{Labels: labels, Count: len(sizes), Largest: largest}
 }
-
-// RunRebalanced is Run with a dynamic load-balancing policy attached (see
-// engine.Rebalancer and package dynamic).
-func (cc *ConnectedComponents) RunRebalanced(pl *engine.Placement, cl *cluster.Cluster, rb engine.Rebalancer) (*engine.Result, error) {
-	return cc.RunOpts(pl, cl, engine.Options{Rebalancer: rb})
-}
-
-// RunParallel is Run on the destination-sharded parallel engine; label
-// propagation's min-Sum is exactly associative, so results are bit-identical
-// to Run.
-func (cc *ConnectedComponents) RunParallel(pl *engine.Placement, cl *cluster.Cluster) (*engine.Result, error) {
-	res, labels, err := engine.RunSyncParallel[uint32, uint32](cc, pl, cl)
-	if err != nil {
-		return nil, err
-	}
-	res.Output = SummarizeComponents(labels)
-	return res, nil
-}

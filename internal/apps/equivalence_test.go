@@ -11,11 +11,10 @@ import (
 	"proxygraph/internal/graph"
 )
 
-// This file is the cross-engine equivalence suite ISSUE'd alongside the CSR
-// engine rewrite: six applications run through RunSyncReference (the original
-// edge-list engine kept as executable specification), RunSync (machine-local
-// CSR blocks + hybrid frontier) and RunSyncParallel (destination sharding),
-// and every run must produce byte-identical simulation accounting. Vertex
+// This file is the cross-engine equivalence suite: six applications run
+// through RunSyncReference (the original edge-list engine kept as executable
+// specification) and RunSync (machine-local CSR blocks + hybrid frontier),
+// and both runs must produce byte-identical simulation accounting. Vertex
 // values must match exactly for min/max/integer programs and within 1e-12 for
 // float sums, which may re-associate on sparse supersteps.
 
@@ -87,8 +86,8 @@ func sameAccounting(t *testing.T, label string, a, b *engine.Result) {
 	}
 }
 
-// checkEquivalence runs prog through all three engines and compares
-// accounting bitwise and values with eq.
+// checkEquivalence runs prog through the reference and production engines
+// and compares accounting bitwise and values with eq.
 func checkEquivalence[V, A any](t *testing.T, name string, prog engine.Program[V, A], pl *engine.Placement, cl *cluster.Cluster, eq func(a, b V) bool) {
 	t.Helper()
 
@@ -100,20 +99,12 @@ func checkEquivalence[V, A any](t *testing.T, name string, prog engine.Program[V
 	if err != nil {
 		t.Fatalf("%s csr: %v", name, err)
 	}
-	parRes, parVals, err := engine.RunSyncParallel[V, A](prog, pl, cl)
-	if err != nil {
-		t.Fatalf("%s parallel: %v", name, err)
-	}
 
 	sameAccounting(t, name+"/csr", refRes, csrRes)
-	sameAccounting(t, name+"/parallel", refRes, parRes)
 
 	for v := range refVals {
 		if !eq(refVals[v], csrVals[v]) {
 			t.Fatalf("%s/csr: vertex %d value %v != reference %v", name, v, csrVals[v], refVals[v])
-		}
-		if !eq(refVals[v], parVals[v]) {
-			t.Fatalf("%s/parallel: vertex %d value %v != reference %v", name, v, parVals[v], refVals[v])
 		}
 	}
 }
@@ -129,8 +120,8 @@ func floatClose(a, b float64) bool {
 }
 
 // hopsProgram is a test-local SSSP over unit weights: float64 distances,
-// gather src+1, Sum = min. Min is exactly associative even on floats, so all
-// three engines must agree bitwise; it exercises the GatherIn + frontier
+// gather src+1, Sum = min. Min is exactly associative even on floats, so both
+// engines must agree bitwise; it exercises the GatherIn + frontier
 // combination none of the shipped apps cover.
 type hopsProgram struct{}
 
@@ -206,10 +197,6 @@ func (p cascadeProgram) Apply(v graph.VertexID, old coreState, acc int32, hasAcc
 }
 
 func TestEngineEquivalenceSixApps(t *testing.T) {
-	old := engine.ParallelShards
-	engine.ParallelShards = 4
-	t.Cleanup(func() { engine.ParallelShards = old })
-
 	g := equivGraph(t)
 	cl := heteroCluster(t)
 	pl := moduloPlacement(t, g, 4)
@@ -238,11 +225,11 @@ func TestEngineEquivalenceSixApps(t *testing.T) {
 	})
 }
 
-// checkRebalancedEquivalence runs prog through all three engines with a fresh
+// checkRebalancedEquivalence runs prog through both engines with a fresh
 // identically-seeded Migrator each, asserting bitwise-equal accounting and
 // equal outputs. Migration decisions depend only on the per-step busy times,
-// which the equivalence suite already proves bitwise identical, so every
-// engine must fire the same migrations at the same barriers.
+// which the equivalence suite already proves bitwise identical, so both
+// engines must fire the same migrations at the same barriers.
 func checkRebalancedEquivalence[V, A any](t *testing.T, name string, prog engine.Program[V, A], pl *engine.Placement, cl *cluster.Cluster, eq func(a, b V) bool) {
 	t.Helper()
 	newMig := func() *dynamic.Migrator {
@@ -260,43 +247,28 @@ func checkRebalancedEquivalence[V, A any](t *testing.T, name string, prog engine
 	if err != nil {
 		t.Fatalf("%s csr: %v", name, err)
 	}
-	parMig := newMig()
-	parRes, parVals, err := engine.RunSyncParallelOpts[V, A](prog, pl, cl, engine.Options{Rebalancer: parMig})
-	if err != nil {
-		t.Fatalf("%s parallel: %v", name, err)
-	}
 
 	if refMig.Migrations == 0 {
 		t.Fatalf("%s: migrator never fired on the heterogeneous cluster", name)
 	}
-	if csrMig.Migrations != refMig.Migrations || parMig.Migrations != refMig.Migrations {
-		t.Fatalf("%s: migration counts diverge: ref=%d csr=%d parallel=%d",
-			name, refMig.Migrations, csrMig.Migrations, parMig.Migrations)
+	if csrMig.Migrations != refMig.Migrations {
+		t.Fatalf("%s: migration counts diverge: ref=%d csr=%d", name, refMig.Migrations, csrMig.Migrations)
 	}
-	if csrMig.EdgesMoved != refMig.EdgesMoved || parMig.EdgesMoved != refMig.EdgesMoved {
-		t.Fatalf("%s: moved-edge counts diverge: ref=%d csr=%d parallel=%d",
-			name, refMig.EdgesMoved, csrMig.EdgesMoved, parMig.EdgesMoved)
+	if csrMig.EdgesMoved != refMig.EdgesMoved {
+		t.Fatalf("%s: moved-edge counts diverge: ref=%d csr=%d", name, refMig.EdgesMoved, csrMig.EdgesMoved)
 	}
 	sameAccounting(t, name+"/rebalanced-csr", refRes, csrRes)
-	sameAccounting(t, name+"/rebalanced-parallel", refRes, parRes)
 	for v := range refVals {
 		if !eq(refVals[v], csrVals[v]) {
 			t.Fatalf("%s: csr value diverges at vertex %d", name, v)
 		}
-		if !eq(refVals[v], parVals[v]) {
-			t.Fatalf("%s: parallel value diverges at vertex %d", name, v)
-		}
 	}
 }
 
-// TestEngineEquivalenceRebalanced proves RunSyncParallel's new Rebalancer
-// support (and the reference engine's) matches the CSR engine exactly:
-// dynamic migration keeps all three engines on the same trajectory.
+// TestEngineEquivalenceRebalanced proves the reference engine's Rebalancer
+// support matches the CSR engine exactly: dynamic migration keeps both
+// engines on the same trajectory.
 func TestEngineEquivalenceRebalanced(t *testing.T) {
-	old := engine.ParallelShards
-	engine.ParallelShards = 4
-	t.Cleanup(func() { engine.ParallelShards = old })
-
 	// The equivalence graph is too sparse here: network time dominates and is
 	// identical per machine, so the migrator stays quiet. A denser graph on a
 	// compute-skewed cluster (mixed core counts → mixed memory bandwidth)

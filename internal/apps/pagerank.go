@@ -111,25 +111,3 @@ func (pr *PageRank) RunOpts(pl *engine.Placement, cl *cluster.Cluster, opts engi
 	res.Output = ranks
 	return res, nil
 }
-
-// RunRebalanced is Run with a dynamic load-balancing policy attached (see
-// engine.Rebalancer and package dynamic).
-func (pr *PageRank) RunRebalanced(pl *engine.Placement, cl *cluster.Cluster, rb engine.Rebalancer) (*engine.Result, error) {
-	return pr.RunOpts(pl, cl, engine.Options{Rebalancer: rb})
-}
-
-// RunParallel is Run on the destination-sharded parallel engine (workers own
-// disjoint vertex ranges of the shared accumulators); accounting is
-// bit-identical, ranks agree up to floating-point re-association.
-func (pr *PageRank) RunParallel(pl *engine.Placement, cl *cluster.Cluster) (*engine.Result, error) {
-	res, vals, err := engine.RunSyncParallel[prState, float64](pr, pl, cl)
-	if err != nil {
-		return nil, err
-	}
-	ranks := make([]float64, len(vals))
-	for i, s := range vals {
-		ranks[i] = s.rank
-	}
-	res.Output = ranks
-	return res, nil
-}

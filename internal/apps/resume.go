@@ -68,20 +68,6 @@ func (r *PageRankResume) RunOpts(pl *engine.Placement, cl *cluster.Cluster, opts
 	return res, nil
 }
 
-// RunParallel is Run on the destination-sharded parallel engine.
-func (r *PageRankResume) RunParallel(pl *engine.Placement, cl *cluster.Cluster) (*engine.Result, error) {
-	res, vals, err := engine.RunSyncParallel[prState, float64](r, pl, cl)
-	if err != nil {
-		return nil, err
-	}
-	ranks := make([]float64, len(vals))
-	for i, s := range vals {
-		ranks[i] = s.rank
-	}
-	res.Output = ranks
-	return res, nil
-}
-
 // ConnectedComponentsResume is label propagation warm-started from a prior
 // labelling. Deletions can split components, leaving prior labels too small
 // for the evolved structure, so every vertex of a prior component incident to
@@ -172,16 +158,6 @@ func (r *ConnectedComponentsResume) RunOpts(pl *engine.Placement, cl *cluster.Cl
 		opts.InitialActive = r.Seed()
 	}
 	res, labels, err := engine.RunSyncOpts[uint32, uint32](r, pl, cl, opts)
-	if err != nil {
-		return nil, err
-	}
-	res.Output = SummarizeComponents(labels)
-	return res, nil
-}
-
-// RunParallel is Run on the destination-sharded parallel engine.
-func (r *ConnectedComponentsResume) RunParallel(pl *engine.Placement, cl *cluster.Cluster) (*engine.Result, error) {
-	res, labels, err := engine.RunSyncParallelOpts[uint32, uint32](r, pl, cl, engine.Options{InitialActive: r.Seed()})
 	if err != nil {
 		return nil, err
 	}

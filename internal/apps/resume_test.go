@@ -31,10 +31,6 @@ func evolveEquiv(t *testing.T, base *graph.Graph, inserts, deletes int, seed uin
 // delta-based resumed run must converge to values bit-identical to a cold run
 // on the evolved graph — on every engine.
 func TestCCResumeMatchesColdAllEngines(t *testing.T) {
-	old := engine.ParallelShards
-	engine.ParallelShards = 4
-	t.Cleanup(func() { engine.ParallelShards = old })
-
 	base := equivGraph(t)
 	cl := heteroCluster(t)
 	cc := NewConnectedComponents()
@@ -61,14 +57,10 @@ func TestCCResumeMatchesColdAllEngines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, parVals, err := engine.RunSyncParallelOpts[uint32, uint32](resume, pl, cl, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for v := range cold {
-		if refVals[v] != cold[v] || csrVals[v] != cold[v] || parVals[v] != cold[v] {
-			t.Fatalf("vertex %d: resumed labels ref=%d csr=%d par=%d, cold=%d",
-				v, refVals[v], csrVals[v], parVals[v], cold[v])
+		if refVals[v] != cold[v] || csrVals[v] != cold[v] {
+			t.Fatalf("vertex %d: resumed labels ref=%d csr=%d, cold=%d",
+				v, refVals[v], csrVals[v], cold[v])
 		}
 	}
 	// Resuming must not iterate longer than the cold run: the warm labelling
@@ -128,10 +120,6 @@ func TestCCResumeSplitsComponent(t *testing.T) {
 // vectors, but resumed and cold ranks must agree per vertex within
 // 2·Tolerance/(1−Damping), and resuming must not take more supersteps.
 func TestPRResumeWithinEnvelope(t *testing.T) {
-	old := engine.ParallelShards
-	engine.ParallelShards = 4
-	t.Cleanup(func() { engine.ParallelShards = old })
-
 	base := equivGraph(t)
 	cl := heteroCluster(t)
 	pr := NewPageRank()
@@ -176,11 +164,6 @@ func TestPRResumeWithinEnvelope(t *testing.T) {
 		t.Fatal(err)
 	}
 	run("csr", csrVals, nil)
-	_, parVals, err := engine.RunSyncParallelOpts[prState, float64](resume, pl, cl, engine.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	run("parallel", parVals, nil)
 }
 
 // TestResumeAcrossVertexSpaceChange covers deltas that grow or shrink the ID
@@ -248,13 +231,9 @@ func TestResumeAcrossVertexSpaceChange(t *testing.T) {
 // TestChaosAmendedPlacement is the chaos satellite: a placement produced by
 // incremental amendment, driven by a warm-started program, must recover from
 // seeded fault schedules to exactly the fault-free answer with bitwise
-// accounting agreement across all three engines — the same guarantees the
+// accounting agreement across both engines — the same guarantees the
 // chaos suite pins for cold placements.
 func TestChaosAmendedPlacement(t *testing.T) {
-	old := engine.ParallelShards
-	engine.ParallelShards = 4
-	t.Cleanup(func() { engine.ParallelShards = old })
-
 	base := equivGraph(t)
 	cl := heteroCluster(t)
 	shares := partition.UniformShares(4)
@@ -304,16 +283,11 @@ func TestChaosAmendedPlacement(t *testing.T) {
 		if err != nil {
 			t.Fatalf("schedule %d csr: %v", schedSeed, err)
 		}
-		parRes, parVals, err := engine.RunSyncParallelOpts[uint32, uint32](resume, pl, cl, opts)
-		if err != nil {
-			t.Fatalf("schedule %d parallel: %v", schedSeed, err)
-		}
 		sameAccounting(t, "amended/csr", refRes, csrRes)
-		sameAccounting(t, "amended/parallel", refRes, parRes)
 		for v := range want {
-			if refVals[v] != want[v] || csrVals[v] != want[v] || parVals[v] != want[v] {
-				t.Fatalf("schedule %d vertex %d: ref=%d csr=%d par=%d, fault-free %d",
-					schedSeed, v, refVals[v], csrVals[v], parVals[v], want[v])
+			if refVals[v] != want[v] || csrVals[v] != want[v] {
+				t.Fatalf("schedule %d vertex %d: ref=%d csr=%d, fault-free %d",
+					schedSeed, v, refVals[v], csrVals[v], want[v])
 			}
 		}
 	}

@@ -11,7 +11,7 @@ import (
 )
 
 // This file extends the equivalence and chaos suites to the structured event
-// layer: the three engines must emit *identical* event sequences — the same
+// layer: the reference engine and RunSync must emit *identical* event sequences — the same
 // barriers, the same per-machine phase times, the same frontier sizes, the
 // same fault-protocol decisions — for every program, with and without faults.
 // trace.Event is comparable, so identity is slices.Equal, and on top of it
@@ -33,8 +33,6 @@ func tracedRun[V, A any](t *testing.T, which string, prog engine.Program[V, A], 
 		res, _, err = engine.RunSyncReferenceOpts[V, A](prog, pl, cl, opts)
 	case "csr":
 		res, _, err = engine.RunSyncOpts[V, A](prog, pl, cl, opts)
-	case "parallel":
-		res, _, err = engine.RunSyncParallelOpts[V, A](prog, pl, cl, opts)
 	default:
 		t.Fatalf("unknown engine %q", which)
 	}
@@ -79,31 +77,23 @@ func checkTraceDifferential[V, A any](t *testing.T, name string, prog engine.Pro
 	t.Helper()
 	refEvents, refRes := tracedRun[V, A](t, "reference", prog, pl, cl, opts)
 	csrEvents, _ := tracedRun[V, A](t, "csr", prog, pl, cl, opts)
-	parEvents, _ := tracedRun[V, A](t, "parallel", prog, pl, cl, opts)
 
 	if len(refEvents) == 0 {
 		t.Fatalf("%s: no events recorded", name)
 	}
-	for other, events := range map[string][]trace.Event{"csr": csrEvents, "parallel": parEvents} {
-		if !slices.Equal(refEvents, events) {
-			i, a, b := firstDiff(refEvents, events)
-			t.Errorf("%s: reference and %s streams differ (len %d vs %d) at event %d:\nreference: %+v\n%s: %+v",
-				name, other, len(refEvents), len(events), i, a, other, b)
-		}
-	}
-	if t.Failed() {
-		return
+	if !slices.Equal(refEvents, csrEvents) {
+		i, a, b := firstDiff(refEvents, csrEvents)
+		t.Fatalf("%s: reference and csr streams differ (len %d vs %d) at event %d:\nreference: %+v\ncsr: %+v",
+			name, len(refEvents), len(csrEvents), i, a, b)
 	}
 
 	refChrome, refProm := exporters(t, refEvents)
-	for other, events := range map[string][]trace.Event{"csr": csrEvents, "parallel": parEvents} {
-		chrome, prom := exporters(t, events)
-		if !bytes.Equal(refChrome, chrome) {
-			t.Errorf("%s: Chrome trace JSON differs between reference and %s", name, other)
-		}
-		if !bytes.Equal(refProm, prom) {
-			t.Errorf("%s: Prometheus exposition differs between reference and %s", name, other)
-		}
+	chrome, prom := exporters(t, csrEvents)
+	if !bytes.Equal(refChrome, chrome) {
+		t.Errorf("%s: Chrome trace JSON differs between reference and csr", name)
+	}
+	if !bytes.Equal(refProm, prom) {
+		t.Errorf("%s: Prometheus exposition differs between reference and csr", name)
 	}
 
 	// The stream must carry the whole run: one step-begin per executed
@@ -136,10 +126,6 @@ func checkTraceDifferential[V, A any](t *testing.T, name string, prog engine.Pro
 }
 
 func TestTraceDifferentialSixApps(t *testing.T) {
-	old := engine.ParallelShards
-	engine.ParallelShards = 4
-	t.Cleanup(func() { engine.ParallelShards = old })
-
 	g := equivGraph(t)
 	cl := heteroCluster(t)
 	pl := moduloPlacement(t, g, 4)

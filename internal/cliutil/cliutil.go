@@ -1,5 +1,6 @@
 // Package cliutil holds the small parsers the command-line tools share:
-// cluster specifications, share vectors, and estimator selection.
+// cluster specifications, share vectors, estimator selection, and the
+// ingress worker count.
 package cliutil
 
 import (
@@ -9,6 +10,7 @@ import (
 
 	"proxygraph/internal/cluster"
 	"proxygraph/internal/core"
+	"proxygraph/internal/partition"
 )
 
 // ParseCluster turns a comma-separated machine list into a Cluster. Each
@@ -106,4 +108,15 @@ func ParseEstimator(name string, scale int, seed uint64) (core.Estimator, error)
 	default:
 		return nil, fmt.Errorf("unknown estimator %q (want proxy, prior-work or default)", name)
 	}
+}
+
+// SetIngressShards installs an -ingress-shards flag value as
+// partition.ParallelShards. Zero selects GOMAXPROCS; a negative count is
+// rejected rather than silently treated as zero.
+func SetIngressShards(n int) error {
+	if n < 0 {
+		return fmt.Errorf("-ingress-shards must be non-negative (0 = GOMAXPROCS), got %d", n)
+	}
+	partition.ParallelShards = n
+	return nil
 }

@@ -122,36 +122,6 @@ func BenchmarkEngineGatherPageRankReference(b *testing.B) {
 		})
 }
 
-// withAutoShards pins the worker knob to "one worker per CPU" so the
-// parallel-engine benchmarks scale with the harness's -cpu list — the
-// GOMAXPROCS axis of make bench-scaling.
-func withAutoShards(b *testing.B) {
-	b.Helper()
-	prev := ParallelShards
-	ParallelShards = 0
-	b.Cleanup(func() { ParallelShards = prev })
-}
-
-func BenchmarkEngineParallelPageRank(b *testing.B) {
-	withAutoShards(b)
-	pl := benchPlacement(b, benchPowerLaw(b))
-	cl := testCluster(b, "c4.xlarge", "c4.2xlarge", "c4.8xlarge", "c4.xlarge")
-	runGatherBench[float64, float64](b, rankProgram{}, pl,
-		func(p Program[float64, float64], pl *Placement) (*Result, []float64, error) {
-			return RunSyncParallel[float64, float64](p, pl, cl)
-		})
-}
-
-func BenchmarkEngineParallelSSSP(b *testing.B) {
-	withAutoShards(b)
-	pl := benchPlacement(b, benchRing())
-	cl := testCluster(b, "c4.xlarge", "c4.2xlarge", "c4.8xlarge", "c4.xlarge")
-	runGatherBench[uint32, uint32](b, benchSSSPProgram{}, pl,
-		func(p Program[uint32, uint32], pl *Placement) (*Result, []uint32, error) {
-			return RunSyncParallel[uint32, uint32](p, pl, cl)
-		})
-}
-
 func BenchmarkEngineGatherSSSP(b *testing.B) {
 	pl := benchPlacement(b, benchRing())
 	cl := testCluster(b, "c4.xlarge", "c4.2xlarge", "c4.8xlarge", "c4.xlarge")
@@ -224,15 +194,5 @@ func BenchmarkEngineClusterBFS(b *testing.B) {
 	runGatherBench[benchClusterState, uint64](b, benchClusterProgram{}, pl,
 		func(p Program[benchClusterState, uint64], pl *Placement) (*Result, []benchClusterState, error) {
 			return RunSync[benchClusterState, uint64](p, pl, cl)
-		})
-}
-
-func BenchmarkEngineClusterBFSParallel(b *testing.B) {
-	withAutoShards(b)
-	pl := benchPlacement(b, benchRing())
-	cl := testCluster(b, "c4.xlarge", "c4.2xlarge", "c4.8xlarge", "c4.xlarge")
-	runGatherBench[benchClusterState, uint64](b, benchClusterProgram{}, pl,
-		func(p Program[benchClusterState, uint64], pl *Placement) (*Result, []benchClusterState, error) {
-			return RunSyncParallel[benchClusterState, uint64](p, pl, cl)
 		})
 }

@@ -55,8 +55,9 @@ type FaultConfig struct {
 
 // Options bundles the optional behaviours of a synchronous run.
 type Options struct {
-	// Rebalancer, when non-nil, is invoked after every superstep barrier
-	// exactly as in RunSyncRebalanced.
+	// Rebalancer, when non-nil, is invoked after every superstep barrier with
+	// the step's per-machine times; an accepted migration is charged and the
+	// run continues on the new placement.
 	Rebalancer Rebalancer
 	// Fault, when non-nil, enables fault injection and checkpointing.
 	Fault *FaultConfig

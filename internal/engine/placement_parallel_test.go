@@ -9,7 +9,8 @@ import (
 
 // TestCompileBlocksParallelMatchesSequential pins the parallel machine-block
 // compiler to its sequential path: every field of every machine's layout must
-// be identical at any worker count, for both gather directions.
+// be identical at every worker count from 2 to one more than the machine
+// count, for both gather directions.
 func TestCompileBlocksParallelMatchesSequential(t *testing.T) {
 	const n, m, machines = 400, 3200, 7
 	g := &graph.Graph{NumVertices: n}
@@ -24,32 +25,24 @@ func TestCompileBlocksParallelMatchesSequential(t *testing.T) {
 		owner = append(owner, int32(rng.Hash2(97, uint64(i))%machines))
 	}
 
-	prev := ParallelShards
-	t.Cleanup(func() { ParallelShards = prev })
-
-	ParallelShards = 1
-	seq, err := NewPlacement(g, owner, machines)
+	pl, err := NewPlacement(g, owner, machines)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, shards := range []int{2, 3, 8} {
-		ParallelShards = shards
-		par, err := NewPlacement(g, owner, machines)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, both := range []bool{false, true} {
-			a, b := seq.blocks(both), par.blocks(both)
+	for _, both := range []bool{false, true} {
+		a := pl.compileBlocks(both, 1)
+		for workers := 2; workers <= machines+1; workers++ {
+			b := pl.compileBlocks(both, workers)
 			for p := 0; p < machines; p++ {
 				if !groupedEqual(a[p].byDst, b[p].byDst) || !groupedEqual(a[p].bySrc, b[p].bySrc) {
-					t.Fatalf("shards=%d both=%v: machine %d blocks differ", shards, both, p)
+					t.Fatalf("workers=%d both=%v: machine %d blocks differ", workers, both, p)
 				}
 				if len(a[p].remote) != len(b[p].remote) {
-					t.Fatalf("shards=%d both=%v: machine %d remote length differs", shards, both, p)
+					t.Fatalf("workers=%d both=%v: machine %d remote length differs", workers, both, p)
 				}
 				for i := range a[p].remote {
 					if a[p].remote[i] != b[p].remote[i] {
-						t.Fatalf("shards=%d both=%v: machine %d remote[%d] differs", shards, both, p, i)
+						t.Fatalf("workers=%d both=%v: machine %d remote[%d] differs", workers, both, p, i)
 					}
 				}
 			}

@@ -13,9 +13,9 @@ import (
 // superstep walks pl.LocalEdges[p] as an index list into g.Edges and filters
 // sources against a dense active bitmap. It is the executable specification
 // of the engine's accounting semantics — RunSync (machine-local CSR blocks,
-// hybrid frontier) and RunSyncParallel (destination sharding) must charge
-// per-machine times, energy and communication bit-identically to this
-// function; the equivalence suite in internal/apps enforces exactly that.
+// hybrid frontier) must charge per-machine times, energy and communication
+// bit-identically to this function; the equivalence suite in internal/apps
+// enforces exactly that.
 // Use RunSync for real work: it computes the same answer faster.
 func RunSyncReference[V, A any](prog Program[V, A], pl *Placement, cl *cluster.Cluster) (*Result, []V, error) {
 	return RunSyncReferenceOpts[V, A](prog, pl, cl, Options{})
@@ -172,7 +172,7 @@ func RunSyncReferenceOpts[V, A any](prog Program[V, A], pl *Placement, cl *clust
 
 		account.Superstep(counters)
 
-		// Dynamic rebalancing hook, identical to RunSyncRebalanced's.
+		// Dynamic rebalancing hook, identical to RunSyncOpts'.
 		if rb != nil {
 			last := account.LastStep()
 			if owner, moved, ok := rb.Decide(step, last.PerMachine, pl); ok {

@@ -90,12 +90,6 @@ func RunSync[V, A any](prog Program[V, A], pl *Placement, cl *cluster.Cluster) (
 	return RunSyncOpts[V, A](prog, pl, cl, Options{})
 }
 
-// RunSyncRebalanced is RunSync with an optional dynamic rebalancing policy
-// invoked after every superstep (nil behaves exactly like RunSync).
-func RunSyncRebalanced[V, A any](prog Program[V, A], pl *Placement, cl *cluster.Cluster, rb Rebalancer) (*Result, []V, error) {
-	return RunSyncOpts[V, A](prog, pl, cl, Options{Rebalancer: rb})
-}
-
 // RunSyncOpts is RunSync with the full option set: an optional dynamic
 // rebalancing policy invoked after every superstep, and an optional fault
 // configuration enabling deterministic fault injection, superstep

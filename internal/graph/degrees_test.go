@@ -29,27 +29,6 @@ func TestInDegreesParallelMatchesSequential(t *testing.T) {
 	}
 }
 
-func TestOutDegreesParallelMatchesSequential(t *testing.T) {
-	graphs := []*Graph{
-		diamond(),
-		randomGraph(t, 89, 500, 4000),
-		{NumVertices: 7},
-		{NumVertices: 3, Edges: []Edge{{0, 1}, {2, 1}}},
-	}
-	for gi, g := range graphs {
-		want := g.OutDegrees()
-		for _, workers := range []int{0, 1, 2, 3, 8, 64} {
-			got := g.OutDegreesParallel(workers)
-			for v := range want {
-				if got[v] != want[v] {
-					t.Fatalf("graph %d workers %d: vertex %d out-degree %d, want %d",
-						gi, workers, v, got[v], want[v])
-				}
-			}
-		}
-	}
-}
-
 // TestCSRIntoMatchesBuild pins the reusable unsorted builders against the
 // sorted ones: same rows as multisets, and a second rebuild into the same
 // storage (after a larger graph stretched it) stays correct.

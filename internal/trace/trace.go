@@ -4,9 +4,9 @@
 // (registry.go, observer.go) or a straggler summary (summary.go).
 //
 // The event stream is part of the engine's determinism contract: for the same
-// program, placement, cluster and options, RunSyncReference, RunSync and
-// RunSyncParallel emit identical event sequences — every quantity in an Event
-// is one the equivalence suites already pin bit-identically across engines
+// program, placement, cluster and options, RunSyncReference and RunSync emit
+// identical event sequences — every quantity in an Event is one the
+// equivalence suites already pin bit-identically across engines
 // (step counters, per-machine charged times, frontier sizes, fault protocol
 // decisions). The differential test in internal/apps locks this down.
 //

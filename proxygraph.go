@@ -362,11 +362,15 @@ func Ingress(pl *Placement, cl *Cluster) (*IngressReport, error) {
 }
 
 // NewMigrator returns a Mizan-style dynamic load balancer (related work [13]
-// of the paper) usable with the RunRebalanced application variants.
+// of the paper); attach it to a run as Options.Rebalancer.
 func NewMigrator(seed uint64) *dynamic.Migrator { return dynamic.NewMigrator(seed) }
 
 // Rebalancer is a dynamic load-balancing policy invoked between supersteps.
 type Rebalancer = engine.Rebalancer
+
+// Options bundles a run's optional behaviours (dynamic rebalancing, fault
+// injection, tracing); pass it to an application's RunOpts.
+type Options = engine.Options
 
 // AdvisorRequest parameterizes a cluster-composition recommendation.
 type AdvisorRequest = advisor.Request

@@ -177,7 +177,7 @@ func TestFacadeDynamicRebalancing(t *testing.T) {
 		t.Fatal(err)
 	}
 	mig := NewMigrator(19)
-	res, err := pr.RunRebalanced(pl, cl, mig)
+	res, err := pr.RunOpts(pl, cl, Options{Rebalancer: mig})
 	if err != nil {
 		t.Fatal(err)
 	}
